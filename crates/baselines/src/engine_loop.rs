@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use aegaeon::audit::{AuditReport, AuditView, Auditor, InvariantAuditor, ReqAudit};
+use aegaeon::audit::{AuditReport, AuditView, Auditor, InvariantAuditor, ReqAudit, TouchedList};
 use aegaeon::deploy::{build_deploys, ModelDeploy};
 use aegaeon::reqstate::ReqState;
 use aegaeon_engine::{scale_up_plan, AutoscaleOpts, InitCosts, ScaleCost};
@@ -276,6 +276,9 @@ pub struct World {
     /// Open switch span per instance (lazily sized: MuxServe rebuilds
     /// `insts` after construction).
     switch_spans: Vec<SpanId>,
+    /// Requests that produced a token since the auditor last ran
+    /// (recorded only while an auditor is installed).
+    touched: TouchedList,
 }
 
 impl World {
@@ -341,6 +344,7 @@ impl World {
             util_samples: Vec::new(),
             sample_live: false,
             arrivals_left,
+            touched: TouchedList::default(),
             tel,
             tm,
             req_tel,
@@ -618,11 +622,14 @@ impl World {
         (result, report.expect("auditor was installed"))
     }
 
-    fn run_inner<S: Scheduler>(
+    pub(crate) fn run_inner<S: Scheduler>(
         mut self,
         sched: &mut S,
         mut auditor: Option<Box<dyn Auditor>>,
     ) -> (BaselineResult, Option<AuditReport>) {
+        if auditor.is_some() {
+            self.touched.enable();
+        }
         let mut q: Qq = EventQueue::new();
         for (i, r) in self.trace.requests.iter().enumerate() {
             q.schedule_at(r.arrival(), BEv::Arrive(i as u32));
@@ -709,6 +716,7 @@ impl World {
                     BTag::Prefill { inst, req } => {
                         let inst = inst as usize;
                         self.reqs[req.0 as usize].push_token(q.now());
+                        self.touched.mark(req.0 as usize);
                         self.reqs[req.0 as usize].prefill_end = Some(q.now());
                         let mut emptied = false;
                         {
@@ -750,6 +758,7 @@ impl World {
                         for req in batch {
                             let rs = &mut self.reqs[req.0 as usize];
                             rs.push_token(now);
+                            self.touched.mark(req.0 as usize);
                             if rs.is_done() {
                                 finished.push(req);
                             }
@@ -781,6 +790,7 @@ impl World {
             }
             if let Some(a) = auditor.as_deref_mut() {
                 a.after_event(q.now(), &self);
+                self.touched.clear();
             }
             // Telemetry sampling happens here in the dispatch loop, never as
             // a queue event: the sample boundaries are derived from the
@@ -876,6 +886,10 @@ impl AuditView for World {
             done: r.is_done(),
             token_times: &r.token_times,
         }
+    }
+
+    fn touched(&self) -> &[usize] {
+        self.touched.as_slice()
     }
 
     fn link_audit(&self) -> Option<String> {

@@ -18,6 +18,9 @@
 //! workloads as Aegaeon, so comparisons isolate the scheduling/scaling
 //! policies.
 
+#[cfg(test)]
+#[path = "../../core/src/audit_oracle.rs"]
+mod audit_oracle;
 pub mod dedicated;
 pub mod engine_loop;
 pub mod muxserve;

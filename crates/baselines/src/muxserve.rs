@@ -306,6 +306,26 @@ mod tests {
     }
 
     #[test]
+    fn touched_audit_matches_the_exhaustive_oracle() {
+        use crate::audit_oracle::{assert_agree, ExhaustiveAuditor};
+        let models = Zoo::replicate(&Zoo::standard().market_band(), 6);
+        let rates = vec![0.2; 6];
+        let mut rng = SimRng::seed_from_u64(8);
+        let trace = TraceBuilder::new(SimTime::from_secs_f64(120.0), LengthDist::sharegpt())
+            .uniform_models(&mut rng, 6, 0.2)
+            .build(&mut rng);
+        let cfg = WorldConfig::sllm_default(cluster(2));
+        let plain = MuxServe::run(&cfg, &models, &rates, &trace);
+        let (touched, report) = MuxServe::run_audited(&cfg, &models, &rates, &trace);
+        let (world, mut sched) = MuxServe::prepare(&cfg, &models, &rates, &trace);
+        let (oracle, oracle_report) = world.run_inner(&mut sched, Some(ExhaustiveAuditor::boxed()));
+        assert_agree(&report, &oracle_report.expect("oracle installed"));
+        assert!(plain.rejected > 0, "rejections enter conservation");
+        assert_eq!(plain.fingerprint(), touched.fingerprint());
+        assert_eq!(plain.fingerprint(), oracle.fingerprint());
+    }
+
+    #[test]
     fn unplaced_models_get_zero_service() {
         let zoo = Zoo::standard();
         let models = Zoo::replicate(&zoo.market_band(), 8);

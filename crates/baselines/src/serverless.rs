@@ -229,6 +229,25 @@ mod tests {
     }
 
     #[test]
+    fn touched_audit_matches_the_exhaustive_oracle() {
+        use crate::audit_oracle::{assert_agree, ExhaustiveAuditor};
+        for (cfg, seed) in [
+            (SllmConfig::new(cluster(2)), 9),
+            (SllmConfig::plus(cluster(1)), 3),
+        ] {
+            let t = trace(4, 0.2, 120.0, seed);
+            let plain = ServerlessLlm::run(&cfg, &models(4), &t);
+            let (touched, report) = ServerlessLlm::run_audited(&cfg, &models(4), &t);
+            let (world, mut sched) = ServerlessLlm::prepare(&cfg, &models(4), &t);
+            let (oracle, oracle_report) =
+                world.run_inner(&mut sched, Some(ExhaustiveAuditor::boxed()));
+            assert_agree(&report, &oracle_report.expect("oracle installed"));
+            assert_eq!(plain.fingerprint(), touched.fingerprint());
+            assert_eq!(plain.fingerprint(), oracle.fingerprint());
+        }
+    }
+
+    #[test]
     fn sjf_changes_service_order() {
         // Load heavy enough that the global queue regularly holds several
         // models, so the ordering policy actually matters.

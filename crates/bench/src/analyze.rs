@@ -405,6 +405,16 @@ impl Analysis {
         errs
     }
 
+    /// The `--check` gate: [`Self::consistency_errors`], failing closed on a
+    /// report without a single model row (say, a telemetry file with no
+    /// SLO lines), which proves nothing.
+    pub fn gate_errors(&self) -> Vec<String> {
+        if self.models.is_empty() {
+            return vec!["no models observed".into()];
+        }
+        self.consistency_errors()
+    }
+
     /// Per-kind attribution totals, in the fixed kind order with any
     /// unknown kinds appended (seconds summed across instances and models).
     pub fn kind_totals(&self) -> Vec<(String, f64)> {
@@ -819,6 +829,17 @@ mod tests {
 
         // Session-free documents stay session-free.
         assert!(Analysis::from_slo_text(SLO_DOC).unwrap().sessions.is_empty());
+    }
+
+    #[test]
+    fn gate_fails_closed_without_models() {
+        let empty =
+            Analysis::from_slo_text("{\"type\":\"total\",\"metric\":\"x\",\"value\":1}\n").unwrap();
+        assert!(empty.consistency_errors().is_empty());
+        assert_eq!(empty.gate_errors(), vec!["no models observed".to_string()]);
+        assert_eq!(Analysis::default().gate_errors().len(), 1);
+        let full = Analysis::from_slo_text(SLO_DOC).unwrap();
+        assert!(full.gate_errors().is_empty());
     }
 
     #[test]

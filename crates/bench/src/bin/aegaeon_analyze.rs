@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Without `--out-md` the markdown goes to stdout. `--check` exits 2 when
-//! any consistency check fails (CI gates on this).
+//! any consistency check fails or when the input holds no model at all
+//! (CI gates on this).
 
 use std::process::ExitCode;
 
@@ -119,7 +120,7 @@ fn main() -> ExitCode {
         println!("[json] {path}");
     }
 
-    let errs = analysis.consistency_errors();
+    let errs = analysis.gate_errors();
     if !errs.is_empty() {
         for e in &errs {
             eprintln!("[consistency] {e}");

@@ -48,6 +48,9 @@ pub trait AuditView {
     fn request_count(&self) -> usize;
     /// Audit view of request `i`.
     fn request(&self, i: usize) -> ReqAudit<'_>;
+    /// Indices of the requests whose progress changed since the auditor
+    /// last ran (duplicates allowed). Backed by a [`TouchedList`].
+    fn touched(&self) -> &[usize];
     /// Deep-checks memory accounting (VRAM slabs, KV block ownership);
     /// `Some(description)` on violation.
     fn memory_audit(&self) -> Option<String> {
@@ -57,6 +60,42 @@ pub trait AuditView {
     /// `Some(description)` on violation.
     fn link_audit(&self) -> Option<String> {
         None
+    }
+}
+
+/// The requests a serving system touched since its auditor last ran: the
+/// store behind [`AuditView::touched`]. The system marks a request wherever
+/// it pushes a token and clears the list after each `after_event`.
+/// Recording stays off until an auditor is installed, so an unaudited run
+/// pays one branch per token.
+#[derive(Debug, Clone, Default)]
+pub struct TouchedList {
+    on: bool,
+    reqs: Vec<usize>,
+}
+
+impl TouchedList {
+    /// Starts recording marks.
+    pub fn enable(&mut self) {
+        self.on = true;
+    }
+
+    /// Marks request `i` as touched (a no-op while disabled).
+    #[inline]
+    pub fn mark(&mut self, i: usize) {
+        if self.on {
+            self.reqs.push(i);
+        }
+    }
+
+    /// The marks since the last [`TouchedList::clear`].
+    pub fn as_slice(&self) -> &[usize] {
+        &self.reqs
+    }
+
+    /// Forgets every mark.
+    pub fn clear(&mut self) {
+        self.reqs.clear();
     }
 }
 
@@ -144,37 +183,55 @@ pub trait Auditor {
 ///
 /// # Scaling
 ///
-/// A full per-request sweep on every event is O(requests·events) —
-/// quadratic once the gateway holds tens of thousands of streams in
-/// flight. Above [`InvariantAuditor::FULL_SCAN_MAX`] requests the auditor
-/// switches to a bounded round-robin window per event (every request is
-/// still revisited every `n / window` events, and the per-request
-/// high-water marks make regression checks *delayed, never lost*), and
-/// the memory/bandwidth book audits run on a fixed event cadence instead
-/// of every event. The exact `completed == done-requests` cross-count
-/// needs a full sweep, so in windowed mode it runs only at finish. All of
+/// Token-level scheduling advances one batch per event and leaves every
+/// other request alone, so after each event the auditor checks exactly the
+/// requests the event touched ([`AuditView::touched`]), plus any request
+/// that appeared since the last event. A running count of the requests it
+/// has seen become done keeps `completed == done requests` exact on every
+/// event, at any run size. Per-request cost is therefore proportional to
+/// the tokens produced, not to requests × events.
+///
+/// A request that changes without a touched mark is caught at finish: a
+/// completeness check compares every request's final `(produced,
+/// timestamps)` with the high-water marks the touched checks recorded, and
+/// an exhaustive sweep then re-checks every request. A missed mark is
+/// reported late, never lost.
+///
+/// The memory/bandwidth book audits scan whole caches and links. They run
+/// after every event up to [`InvariantAuditor::EVERY_EVENT_BOOKS_MAX`]
+/// requests and every 256 events above it, and always at finish. All of
 /// this is deterministic (purely event-count driven) and observer-only.
 #[derive(Debug, Default)]
 pub struct InvariantAuditor {
     last_now: SimTime,
     last_completed: u64,
-    /// Per-request high-water marks: (produced, token_times.len()).
-    progress: Vec<(u32, usize)>,
+    /// Per-request high-water marks, one per request seen so far.
+    marks: Vec<Mark>,
+    /// Requests whose latest check saw them done.
+    done: u64,
     report: AuditReport,
     /// Cap on recorded violations so a broken run cannot OOM the auditor.
     max_violations: usize,
-    /// Round-robin position for windowed scans.
-    cursor: usize,
-    /// Events since the last memory/link book audit in windowed mode.
+    /// Events since the last book audit in large runs.
     since_books: u32,
 }
 
+/// What the auditor last knew of one request.
+#[derive(Debug, Default, Clone, Copy)]
+struct Mark {
+    /// High-water mark of `produced`.
+    produced: u32,
+    /// High-water mark of `token_times.len()`.
+    tokens: usize,
+    /// Done flag at the latest check.
+    done: bool,
+}
+
 impl InvariantAuditor {
-    /// Largest request count still fully swept on every event.
-    pub const FULL_SCAN_MAX: usize = 2048;
-    /// Requests validated per event in windowed mode.
-    const WINDOW: usize = 128;
-    /// Event cadence of the memory/link book audits in windowed mode.
+    /// Largest request count whose memory/link books are audited after
+    /// every event.
+    pub const EVERY_EVENT_BOOKS_MAX: usize = 2048;
+    /// Event cadence of the book audits above that size.
     const BOOKS_EVERY: u32 = 256;
 
     /// A fresh auditor.
@@ -191,11 +248,9 @@ impl InvariantAuditor {
         }
     }
 
-    fn check(&mut self, now: SimTime, view: &dyn AuditView) {
-        self.check_inner(now, view, false);
-    }
-
-    fn check_inner(&mut self, now: SimTime, view: &dyn AuditView, force_full: bool) {
+    /// One audit pass: the counter checks, a scan of the touched requests
+    /// (or of every request, with `all`), and the book audits when due.
+    fn check(&mut self, now: SimTime, view: &dyn AuditView, all: bool) {
         self.report.events_checked += 1;
         if now < self.last_now {
             self.flag(
@@ -210,7 +265,6 @@ impl InvariantAuditor {
         self.last_now = self.last_now.max(now);
 
         let n = view.request_count();
-        self.progress.resize(n, (0, 0));
         let completed = view.completed_counter();
         if completed < self.last_completed {
             self.flag(
@@ -233,33 +287,31 @@ impl InvariantAuditor {
             );
         }
 
-        if force_full || n <= Self::FULL_SCAN_MAX {
-            let mut done_count = 0u64;
-            for i in 0..n {
-                if self.scan_request(now, view, i) {
-                    done_count += 1;
-                }
-            }
-            if completed != done_count {
-                self.flag(
-                    now,
-                    format!(
-                        "conservation: completed counter {completed} disagrees with {done_count} done requests"
-                    ),
-                );
-            }
-            self.audit_books(now, view);
-        } else {
-            // Windowed mode: revisit WINDOW requests per event round-robin.
-            // High-water marks make regressions delayed, never lost; the
-            // exact completed == done-requests cross-count needs a full
-            // sweep and runs at finish instead.
-            let span = Self::WINDOW.min(n);
-            for k in 0..span {
-                let i = (self.cursor + k) % n;
+        // Requests that appeared since the last pass are checked once when
+        // first seen, so one that is born done still enters the done count.
+        let first_unseen = if all { 0 } else { self.marks.len() };
+        self.marks.resize(n, Mark::default());
+        for i in first_unseen..n {
+            self.scan_request(now, view, i);
+        }
+        if !all {
+            for &i in view.touched() {
                 self.scan_request(now, view, i);
             }
-            self.cursor = (self.cursor + span) % n;
+        }
+        if completed != self.done {
+            self.flag(
+                now,
+                format!(
+                    "conservation: completed counter {completed} disagrees with {} done requests",
+                    self.done
+                ),
+            );
+        }
+
+        if all || n <= Self::EVERY_EVENT_BOOKS_MAX {
+            self.audit_books(now, view);
+        } else {
             self.since_books += 1;
             if self.since_books >= Self::BOOKS_EVERY {
                 self.since_books = 0;
@@ -277,17 +329,17 @@ impl InvariantAuditor {
         }
     }
 
-    /// Validate one request against its high-water marks; returns whether
-    /// the request is done.
-    fn scan_request(&mut self, now: SimTime, view: &dyn AuditView, i: usize) -> bool {
+    /// Validates one request against its high-water marks and updates the
+    /// running done count.
+    fn scan_request(&mut self, now: SimTime, view: &dyn AuditView, i: usize) {
         let r = view.request(i);
-        let (seen_produced, seen_tokens) = self.progress[i];
-        if r.produced < seen_produced {
+        let mark = self.marks[i];
+        if r.produced < mark.produced {
             self.flag(
                 now,
                 format!(
-                    "progress: request {i} produced regressed {seen_produced} -> {}",
-                    r.produced
+                    "progress: request {i} produced regressed {} -> {}",
+                    mark.produced, r.produced
                 ),
             );
         }
@@ -312,7 +364,7 @@ impl InvariantAuditor {
         }
         // Only the newly appended timestamps need checking; the prefix
         // was validated on earlier events.
-        let start = seen_tokens.saturating_sub(1).min(r.token_times.len());
+        let start = mark.tokens.saturating_sub(1).min(r.token_times.len());
         for w in r.token_times[start..].windows(2) {
             if w[1] < w[0] {
                 self.flag(
@@ -326,7 +378,7 @@ impl InvariantAuditor {
             }
         }
         if let Some(&last) = r.token_times.last() {
-            if r.token_times.len() > seen_tokens && last > now {
+            if r.token_times.len() > mark.tokens && last > now {
                 self.flag(
                     now,
                     format!(
@@ -337,22 +389,49 @@ impl InvariantAuditor {
                 );
             }
         }
-        self.progress[i] = (
-            seen_produced.max(r.produced),
-            seen_tokens.max(r.token_times.len()),
-        );
-        r.done
+        match (mark.done, r.done) {
+            (false, true) => self.done += 1,
+            (true, false) => self.done -= 1,
+            _ => {}
+        }
+        self.marks[i] = Mark {
+            produced: mark.produced.max(r.produced),
+            tokens: mark.tokens.max(r.token_times.len()),
+            done: r.done,
+        };
+    }
+
+    /// Flags every request whose final progress differs from what the
+    /// touched checks recorded: it changed without a touched mark.
+    fn check_complete(&mut self, now: SimTime, view: &dyn AuditView) {
+        for i in 0..self.marks.len() {
+            let r = view.request(i);
+            let mark = self.marks[i];
+            if (r.produced, r.token_times.len()) != (mark.produced, mark.tokens) {
+                self.flag(
+                    now,
+                    format!(
+                        "touched: request {i} changed without a touched mark ({} produced, {} timestamps; last checked at {}, {})",
+                        r.produced,
+                        r.token_times.len(),
+                        mark.produced,
+                        mark.tokens
+                    ),
+                );
+            }
+        }
     }
 }
 
 impl Auditor for InvariantAuditor {
     fn after_event(&mut self, now: SimTime, view: &dyn AuditView) {
-        self.check(now, view);
+        self.check(now, view, false);
     }
 
     fn at_finish(&mut self, now: SimTime, view: &dyn AuditView) {
-        // The final sweep is always exhaustive, even in windowed mode.
-        self.check_inner(now, view, true);
+        self.check_complete(now, view);
+        // The final sweep is always exhaustive.
+        self.check(now, view, true);
         // End-of-run conservation: every request completed, rejected, or
         // handed off to another shard.
         let n = view.request_count() as u64;
@@ -399,6 +478,7 @@ mod tests {
         completed: u64,
         rejected: u64,
         reqs: Vec<(u32, u32, bool, Vec<SimTime>)>,
+        touched: Vec<usize>,
         mem: Option<String>,
         link: Option<String>,
     }
@@ -422,6 +502,9 @@ mod tests {
                 token_times: times,
             }
         }
+        fn touched(&self) -> &[usize] {
+            &self.touched
+        }
         fn memory_audit(&self) -> Option<String> {
             self.mem.clone()
         }
@@ -430,57 +513,66 @@ mod tests {
         }
     }
 
+    fn t(secs: f64) -> SimTime {
+        SimTime::from_secs_f64(secs)
+    }
+
     fn clean_view() -> FakeView {
         FakeView {
             completed: 1,
             rejected: 0,
             reqs: vec![
-                (
-                    2,
-                    2,
-                    true,
-                    vec![SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(2.0)],
-                ),
-                (1, 3, false, vec![SimTime::from_secs_f64(1.5)]),
+                (2, 2, true, vec![t(1.0), t(2.0)]),
+                (1, 3, false, vec![t(1.5)]),
             ],
+            touched: Vec::new(),
             mem: None,
             link: None,
         }
     }
 
+    /// `n` requests of target 3, none started.
+    fn idle_view(n: usize) -> FakeView {
+        FakeView {
+            completed: 0,
+            rejected: 0,
+            reqs: vec![(0, 3, false, Vec::new()); n],
+            touched: Vec::new(),
+            mem: None,
+            link: None,
+        }
+    }
+
+    /// Run sizes on both sides of the every-event book cadence.
+    const SIZES: [usize; 2] = [16, 3 * InvariantAuditor::EVERY_EVENT_BOOKS_MAX / 2];
+
     #[test]
     fn clean_run_passes() {
         let mut a = InvariantAuditor::new();
         let v = clean_view();
-        a.after_event(SimTime::from_secs_f64(2.0), &v);
-        a.after_event(SimTime::from_secs_f64(3.0), &v);
+        a.after_event(t(2.0), &v);
+        a.after_event(t(3.0), &v);
         let mut done = clean_view();
         done.completed = 2;
-        done.reqs[1] = (
-            3,
-            3,
-            true,
-            vec![
-                SimTime::from_secs_f64(1.5),
-                SimTime::from_secs_f64(3.5),
-                SimTime::from_secs_f64(4.0),
-            ],
-        );
-        a.at_finish(SimTime::from_secs_f64(4.0), &done);
+        done.reqs[1] = (3, 3, true, vec![t(1.5), t(3.5), t(4.0)]);
+        done.touched = vec![1];
+        a.after_event(t(4.0), &done);
+        a.at_finish(t(4.0), &done);
         let report = a.take_report();
         assert!(report.ok(), "{report}");
-        assert_eq!(report.events_checked, 3);
+        assert_eq!(report.events_checked, 4);
     }
 
     #[test]
     fn detects_time_regression() {
         let mut a = InvariantAuditor::new();
         let v = clean_view();
-        a.after_event(SimTime::from_secs_f64(5.0), &v);
-        a.after_event(SimTime::from_secs_f64(4.0), &v);
+        a.after_event(t(5.0), &v);
+        a.after_event(t(4.0), &v);
         let report = a.take_report();
         assert!(!report.ok());
         assert!(report.violations[0].what.contains("causality"), "{report}");
+        assert_eq!(report.violations[0].at, t(4.0));
     }
 
     #[test]
@@ -488,13 +580,15 @@ mod tests {
         let mut a = InvariantAuditor::new();
         let mut v = clean_view();
         v.completed = 2; // claims two done, state says one
-        a.after_event(SimTime::from_secs_f64(3.0), &v);
-        assert!(!a.take_report().ok());
+        a.after_event(t(3.0), &v);
+        let report = a.take_report();
+        assert!(!report.ok());
+        assert_eq!(report.violations[0].at, t(3.0));
 
         let mut a = InvariantAuditor::new();
         let mut fin = clean_view();
         fin.reqs[1].2 = false; // never completes
-        a.at_finish(SimTime::from_secs_f64(9.0), &fin);
+        a.at_finish(t(9.0), &fin);
         let report = a.take_report();
         assert!(
             report
@@ -509,27 +603,28 @@ mod tests {
     fn detects_produced_regression_and_token_disorder() {
         let mut a = InvariantAuditor::new();
         let v = clean_view();
-        a.after_event(SimTime::from_secs_f64(2.0), &v);
+        a.after_event(t(2.0), &v);
         let mut worse = clean_view();
         worse.reqs[0].0 = 1; // produced went backwards
         worse.reqs[0].3.pop();
-        a.after_event(SimTime::from_secs_f64(2.5), &worse);
+        worse.touched = vec![0];
+        a.after_event(t(2.5), &worse);
         let report = a.take_report();
         assert!(report
             .violations
             .iter()
-            .any(|v| v.what.contains("regressed")));
+            .any(|v| v.what.contains("regressed") && v.at == t(2.5)));
 
         let mut a = InvariantAuditor::new();
         let mut bad = clean_view();
-        bad.reqs[0].3 = vec![SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(1.0)];
-        a.after_event(SimTime::from_secs_f64(3.0), &bad);
+        bad.reqs[0].3 = vec![t(2.0), t(1.0)];
+        a.after_event(t(3.0), &bad);
         let report = a.take_report();
         assert!(
             report
                 .violations
                 .iter()
-                .any(|v| v.what.contains("token order")),
+                .any(|v| v.what.contains("token order") && v.at == t(3.0)),
             "{report}"
         );
     }
@@ -540,11 +635,22 @@ mod tests {
         let mut v = clean_view();
         v.mem = Some("slab 3 double-assigned".into());
         v.link = Some("link pcie0 over capacity".into());
-        a.after_event(SimTime::from_secs_f64(3.0), &v);
+        a.after_event(t(3.0), &v);
         let report = a.take_report();
         assert_eq!(report.violations.len(), 2);
         assert!(report.violations[0].what.starts_with("memory:"));
         assert!(report.violations[1].what.starts_with("bandwidth:"));
+    }
+
+    #[test]
+    fn book_audits_thin_out_above_the_cap() {
+        let mut a = InvariantAuditor::new();
+        let mut v = idle_view(SIZES[1]);
+        v.mem = Some("boom".into());
+        for i in 0..512 {
+            a.after_event(t(i as f64), &v);
+        }
+        assert_eq!(a.take_report().violations.len(), 2, "every 256 events");
     }
 
     #[test]
@@ -553,7 +659,7 @@ mod tests {
         let mut v = clean_view();
         v.mem = Some("boom".into());
         for i in 0..1000 {
-            a.after_event(SimTime::from_secs_f64(i as f64), &v);
+            a.after_event(t(i as f64), &v);
         }
         let report = a.take_report();
         assert_eq!(report.violations.len(), 64);
@@ -561,18 +667,95 @@ mod tests {
     }
 
     #[test]
+    fn unmarked_change_is_flagged_at_finish() {
+        for n in SIZES {
+            let mut a = InvariantAuditor::new();
+            let mut v = idle_view(n);
+            a.after_event(t(1.0), &v);
+            // Request 7 gets a token, but the view forgets to mark it.
+            v.reqs[7].0 = 1;
+            v.reqs[7].3.push(t(1.5));
+            a.after_event(t(2.0), &v);
+            assert!(a.report.violations.is_empty(), "n={n}: unseen until finish");
+            a.at_finish(t(3.0), &v);
+            let report = a.take_report();
+            assert!(
+                report
+                    .violations
+                    .iter()
+                    .any(|v| v.what.contains("request 7 changed without a touched mark")),
+                "n={n}: {report}"
+            );
+        }
+    }
+
+    #[test]
+    fn touched_violations_are_flagged_on_their_event() {
+        for n in SIZES {
+            let i = n - 1;
+            let mut a = InvariantAuditor::new();
+            let mut v = idle_view(n);
+            a.after_event(t(1.0), &v);
+            v.reqs[i] = (2, 3, false, vec![t(2.0), t(1.5)]);
+            v.touched = vec![i];
+            a.after_event(t(2.0), &v);
+            let report = a.take_report();
+            let first = &report.violations[0];
+            assert!(first.what.contains("token order"), "n={n}: {report}");
+            assert_eq!(first.at, t(2.0), "n={n}");
+
+            let mut a = InvariantAuditor::new();
+            let mut v = idle_view(n);
+            a.after_event(t(1.0), &v);
+            v.reqs[i] = (4, 3, true, vec![t(1.5), t(1.6), t(1.7), t(2.0)]);
+            v.completed = 1;
+            v.touched = vec![i];
+            a.after_event(t(2.0), &v);
+            let report = a.take_report();
+            assert_eq!(report.violations.len(), 1, "n={n}: {report}");
+            assert!(report.violations[0].what.contains("beyond target"));
+            assert_eq!(report.violations[0].at, t(2.0));
+        }
+    }
+
+    #[test]
+    fn completed_mismatch_is_flagged_on_its_event() {
+        for n in SIZES {
+            // The counter moves with no request done.
+            let mut a = InvariantAuditor::new();
+            let mut v = idle_view(n);
+            a.after_event(t(1.0), &v);
+            v.completed = 1;
+            a.after_event(t(2.0), &v);
+            let report = a.take_report();
+            assert!(
+                report.violations[0].what.contains("disagrees"),
+                "n={n}: {report}"
+            );
+            assert_eq!(report.violations[0].at, t(2.0));
+
+            // A request finishes, the counter does not move.
+            let mut a = InvariantAuditor::new();
+            let mut v = idle_view(n);
+            a.after_event(t(1.0), &v);
+            v.reqs[3] = (3, 3, true, vec![t(1.2), t(1.4), t(2.0)]);
+            v.touched = vec![3, 3];
+            a.after_event(t(2.0), &v);
+            let report = a.take_report();
+            assert_eq!(report.violations.len(), 1, "n={n}: {report}");
+            assert!(report.violations[0]
+                .what
+                .contains("0 disagrees with 1 done"));
+            assert_eq!(report.violations[0].at, t(2.0));
+        }
+    }
+
+    #[test]
     fn check_token_order_helper() {
         assert!(check_token_order(0, &[]).is_none());
-        assert!(check_token_order(
-            0,
-            &[SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(1.0)]
-        )
-        .is_none());
-        assert!(check_token_order(
-            7,
-            &[SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(1.0)]
-        )
-        .unwrap()
-        .contains("request 7"));
+        assert!(check_token_order(0, &[t(1.0), t(1.0)]).is_none());
+        assert!(check_token_order(7, &[t(2.0), t(1.0)])
+            .unwrap()
+            .contains("request 7"));
     }
 }

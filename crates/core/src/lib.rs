@@ -39,6 +39,11 @@
 //! ```
 
 pub mod audit;
+// The test oracle names this crate `aegaeon`, as the baselines do.
+#[cfg(test)]
+extern crate self as aegaeon;
+#[cfg(test)]
+mod audit_oracle;
 pub mod chaos;
 pub mod config;
 pub mod decode;

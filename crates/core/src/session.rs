@@ -279,6 +279,7 @@ impl ServingSession {
     /// Installs an invariant auditor (observer only).
     pub fn install_auditor(&mut self, auditor: Box<dyn Auditor + Send>) {
         self.sys.auditor = Some(auditor);
+        self.sys.touched.enable();
     }
 
     // ---- shard-coordinator hooks ---------------------------------------
@@ -411,6 +412,7 @@ impl ServingSession {
             if let Some(mut a) = self.sys.auditor.take() {
                 a.after_event(self.q.now(), &self.sys);
                 self.sys.auditor = Some(a);
+                self.sys.touched.clear();
             }
             // Registry poller: runs in the dispatch loop (never as a queue
             // event, which would change event counts and tie-breaking) and

@@ -44,7 +44,7 @@ use aegaeon_model::{ModelId, ModelSpec};
 use aegaeon_sim::{GrantClock, SimDur, SimTime, TraceLog};
 use aegaeon_workload::{Request, RequestId, SessionId, Trace};
 
-use crate::audit::{AuditReport, InvariantAuditor, Violation};
+use crate::audit::{AuditReport, Auditor, InvariantAuditor, Violation};
 use crate::config::AegaeonConfig;
 use crate::result::RunResult;
 use crate::session::ServingSession;
@@ -289,7 +289,7 @@ pub fn run_sharded(
         );
         result
     } else {
-        run_inner(cfg, models, trace, shards, threads, false).0
+        run_inner(cfg, models, trace, shards, threads, None).0
     }
 }
 
@@ -302,7 +302,14 @@ pub fn run_sharded_audited(
     shards: usize,
     threads: usize,
 ) -> (RunResult, AuditReport) {
-    let (result, report) = run_inner(cfg, models, trace, shards, threads, true);
+    let (result, report) = run_inner(
+        cfg,
+        models,
+        trace,
+        shards,
+        threads,
+        Some(|| Box::new(InvariantAuditor::new())),
+    );
     (result, report.expect("auditor was installed"))
 }
 
@@ -431,13 +438,14 @@ impl Coordinator<'_> {
     }
 }
 
-fn run_inner(
+/// Every shard gets its own auditor from `auditor`, when given.
+pub(crate) fn run_inner(
     cfg: &AegaeonConfig,
     models: &[ModelSpec],
     trace: &Trace,
     shards: usize,
     threads: usize,
-    audit: bool,
+    auditor: Option<fn() -> Box<dyn Auditor + Send>>,
 ) -> (RunResult, Option<AuditReport>) {
     let plan = ShardPlan::partition(cfg, trace, shards);
     let sessions: Vec<ServingSession> = plan
@@ -447,8 +455,8 @@ fn run_inner(
         .map(|(c, t)| {
             let mut s = ServingSession::closed(c, models, t);
             s.enable_shard_mode();
-            if audit {
-                s.install_auditor(Box::new(InvariantAuditor::new()));
+            if let Some(make) = auditor {
+                s.install_auditor(make());
             }
             s
         })
@@ -685,6 +693,37 @@ mod tests {
         let mut cfg = four_node_cfg();
         cfg.faults.crashes = vec![(5.0, InstKind::Prefill, 99)];
         let _ = ShardPlan::partition(&cfg, &toy_trace(4, 4), 4);
+    }
+
+    #[test]
+    fn sharded_touched_audit_matches_the_exhaustive_oracle() {
+        use crate::audit_oracle::{assert_agree, ExhaustiveAuditor};
+        use aegaeon_model::Zoo;
+        let models = Zoo::replicate(&Zoo::standard().market_band(), 8);
+        let trace = toy_trace(48, 8);
+        let mut cfg = four_node_cfg();
+        // Losing shard 0's whole prefill tier migrates its requests.
+        let shard0_prefills = ShardPlan::partition(&cfg, &trace, 4).cfgs[0].prefill_instances;
+        cfg.faults = crate::chaos::FaultPlan {
+            seed: 3,
+            crashes: (0..shard0_prefills as u32)
+                .map(|i| (12.0, InstKind::Prefill, i))
+                .collect(),
+            link_rate: 0.05,
+            link_factor: 0.3,
+            link_secs: 4.0,
+            stall_rate: 0.02,
+            stall_secs: 1.0,
+            ..crate::chaos::FaultPlan::none()
+        };
+        let plain = run_sharded(&cfg, &models, &trace, 4, 1);
+        let (touched, report) = run_sharded_audited(&cfg, &models, &trace, 4, 2);
+        let (oracle, oracle_report) =
+            run_inner(&cfg, &models, &trace, 4, 1, Some(ExhaustiveAuditor::boxed));
+        assert_agree(&report, &oracle_report.expect("oracle installed"));
+        assert_eq!(plain.completed, plain.total_requests);
+        assert_eq!(plain.fingerprint(), touched.fingerprint());
+        assert_eq!(plain.fingerprint(), oracle.fingerprint());
     }
 
     #[test]

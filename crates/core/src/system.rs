@@ -18,7 +18,8 @@ use aegaeon_mem::{BlockRef, BumpBuffer, FragSampler, ModelCache, MoveList, Shape
 use aegaeon_metrics::{RequestOutcome, Stage};
 use aegaeon_model::ModelId;
 use aegaeon_sim::{
-    EventQueue, FxHashMap, Lift, SimDur, SimRng, SimTime, Timeline, TraceKind, TraceLog,
+    EventQueue, FxHashMap, FxHashSet, Lift, SimDur, SimRng, SimTime, Timeline, TraceKind,
+    TraceLog,
 };
 use aegaeon_telemetry::{
     labeled, CostKind, CounterId, GaugeId, HistId, SketchId, SloObservatory, SpanId, SpanKind,
@@ -26,7 +27,7 @@ use aegaeon_telemetry::{
 };
 use aegaeon_workload::{Request, RequestId, SessionId, SloSpec, Trace};
 
-use crate::audit::{AuditReport, AuditView, Auditor, InvariantAuditor, ReqAudit};
+use crate::audit::{AuditReport, AuditView, Auditor, InvariantAuditor, ReqAudit, TouchedList};
 use crate::chaos::{FaultEvent, FaultKind};
 use crate::config::AegaeonConfig;
 use crate::decode::{dispatch_decode, BatchId, WorkList};
@@ -318,6 +319,9 @@ pub struct ServingSystem {
     stage_oom_depth: Vec<u32>,
     /// Invariant auditor (observer only; `None` = zero-cost disabled path).
     pub(crate) auditor: Option<Box<dyn Auditor + Send>>,
+    /// Requests that produced a token since the auditor last ran
+    /// (recorded only while an auditor is installed).
+    pub(crate) touched: TouchedList,
     // Metrics.
     breakdown: aegaeon_metrics::BreakdownAcc,
     scale_latencies: Vec<f64>,
@@ -403,7 +407,7 @@ impl ServingSystem {
         (result, report.expect("auditor was installed"))
     }
 
-    fn run_inner(
+    pub(crate) fn run_inner(
         cfg: &AegaeonConfig,
         models: &[aegaeon_model::ModelSpec],
         trace: &Trace,
@@ -608,6 +612,7 @@ impl ServingSystem {
             link_degrade_depth,
             stage_oom_depth,
             auditor: None,
+            touched: TouchedList::default(),
             breakdown: aegaeon_metrics::BreakdownAcc::new(),
             scale_latencies: Vec::new(),
             frag: FragSampler::new(),
@@ -1844,6 +1849,7 @@ impl ServingSystem {
             let rs = &mut self.reqs[req.0 as usize];
             if rs.produced == 0 {
                 rs.push_token(now); // first token; re-prefills only rebuild KV
+                self.touched.mark(req.0 as usize);
                 if self.tap_enabled {
                     self.tap.push(crate::events::TokenEv {
                         req,
@@ -2341,6 +2347,7 @@ impl ServingSystem {
         for req in step_reqs {
             let rs = &mut self.reqs[req.0 as usize];
             rs.push_token(now);
+            self.touched.mark(req.0 as usize);
             rs.decode_exec_secs += dur;
             let done = rs.is_done();
             let ctx = rs.ctx_tokens();
@@ -3200,9 +3207,13 @@ impl AuditView for ServingSystem {
         }
     }
 
+    fn touched(&self) -> &[usize] {
+        self.touched.as_slice()
+    }
+
     fn memory_audit(&self) -> Option<String> {
-        fn parked_by_shape(ml: &ParkedBlocks) -> std::collections::HashMap<ShapeKey, u64> {
-            let mut m = std::collections::HashMap::new();
+        fn parked_by_shape(ml: &ParkedBlocks) -> FxHashMap<ShapeKey, u64> {
+            let mut m = FxHashMap::default();
             for (_, batches) in ml.iter() {
                 for (shape, blocks) in batches {
                     *m.entry(*shape).or_insert(0) += blocks.len() as u64;
@@ -3245,7 +3256,7 @@ impl AuditView for ServingSystem {
                 ));
             }
         }
-        let owned: std::collections::HashSet<u64> = self
+        let owned: FxHashSet<u64> = self
             .sessions
             .iter()
             .map(|(s, _)| s.0)
@@ -3384,8 +3395,7 @@ mod tests {
         assert_eq!(plain.completed, audited.completed);
     }
 
-    #[test]
-    fn audited_run_with_faults_stays_clean() {
+    fn chaos_cfg() -> AegaeonConfig {
         let mut cfg = AegaeonConfig::small_testbed(2, 3);
         cfg.drain_window = SimDur::from_secs(400);
         cfg.faults = crate::chaos::FaultPlan {
@@ -3400,6 +3410,12 @@ mod tests {
             stall_secs: 1.0,
             ..crate::chaos::FaultPlan::none()
         };
+        cfg
+    }
+
+    #[test]
+    fn audited_run_with_faults_stays_clean() {
+        let cfg = chaos_cfg();
         let trace = small_trace(4, 0.05, 90.0, 7);
         let (r, report) = ServingSystem::run_audited(&cfg, &models(4), &trace);
         assert!(report.ok(), "{report}");
@@ -3407,6 +3423,26 @@ mod tests {
             r.completed, r.total_requests,
             "chaos must not lose requests"
         );
+    }
+
+    #[test]
+    fn touched_audit_matches_the_exhaustive_oracle() {
+        use crate::audit_oracle::{assert_agree, ExhaustiveAuditor};
+        let cfg = chaos_cfg();
+        for seed in [7, 8] {
+            let trace = small_trace(4, 0.05, 90.0, seed);
+            let plain = ServingSystem::run(&cfg, &models(4), &trace);
+            let (touched, report) = ServingSystem::run_audited(&cfg, &models(4), &trace);
+            let (oracle, oracle_report) = ServingSystem::run_inner(
+                &cfg,
+                &models(4),
+                &trace,
+                Some(ExhaustiveAuditor::boxed()),
+            );
+            assert_agree(&report, &oracle_report.expect("oracle installed"));
+            assert_eq!(plain.fingerprint(), touched.fingerprint());
+            assert_eq!(plain.fingerprint(), oracle.fingerprint());
+        }
     }
 
     #[test]

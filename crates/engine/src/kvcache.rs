@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use aegaeon_mem::{BlockRef, ShapeKey, SlabPool, SlabPoolConfig};
 use aegaeon_mem::slab::{ShapeUsage, SlabExhausted};
 use aegaeon_model::{ModelId, ModelSpec};
+use aegaeon_sim::{FxHashMap, FxHashSet};
 use aegaeon_workload::RequestId;
 
 /// Geometry of a KV cache region.
@@ -260,12 +261,12 @@ impl KvCache {
     /// block holdings are duplicate-free and — together with any blocks the
     /// caller has [`Self::take`]n out into move lists (`parked` per shape) —
     /// sum to the pool's used-block counts.
-    pub fn audit(&self, parked: &HashMap<ShapeKey, u64>) -> Option<String> {
+    pub fn audit(&self, parked: &FxHashMap<ShapeKey, u64>) -> Option<String> {
         if let Some(err) = self.pool.audit() {
             return Some(err);
         }
-        let mut held: HashMap<ShapeKey, u64> = HashMap::new();
-        let mut seen: std::collections::HashSet<BlockRef> = std::collections::HashSet::new();
+        let mut held: FxHashMap<ShapeKey, u64> = FxHashMap::default();
+        let mut seen: FxHashSet<BlockRef> = FxHashSet::default();
         for (req, r) in &self.requests {
             for b in &r.blocks {
                 if !seen.insert(*b) {
@@ -402,7 +403,7 @@ mod tests {
         assert_eq!(c.bytes_of(handle), bytes);
         assert_eq!(c.tokens_of(handle), 160);
         assert_eq!(c.token_capacity(ids[0]), cap);
-        assert!(c.audit(&HashMap::new()).is_none());
+        assert!(c.audit(&FxHashMap::default()).is_none());
         c.free(handle);
     }
 
@@ -416,10 +417,10 @@ mod tests {
         assert!(!c.holds(RequestId(2)));
         assert_eq!(c.tokens_of(RequestId(1)), 43);
         assert_eq!(c.bytes_of(RequestId(1)), total);
-        assert!(c.audit(&HashMap::new()).is_none());
+        assert!(c.audit(&FxHashMap::default()).is_none());
         // Growth still works from the merged entry.
         c.extend(RequestId(1), 100).unwrap();
-        assert!(c.audit(&HashMap::new()).is_none());
+        assert!(c.audit(&FxHashMap::default()).is_none());
         c.free(RequestId(1));
         assert_eq!(c.used_bytes(), 0);
     }
